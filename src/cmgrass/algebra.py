@@ -25,7 +25,7 @@ def pdo_b(P: MatPDO) -> MatPDO:
 
 
 def pdo_invert(P: MatPDO, depth: int = None) -> MatPDO:
-    """Inverse of I + (negative orders) by the finite Neumann series."""
+    """Inverse of I + (negative orders), solved order by order."""
     return P.invert(depth=depth)
 
 

@@ -142,6 +142,7 @@ def inverse(a):
 
 
 def _one_like(x):
+    """The unit of the ring of x: Scalar, Poly or RatFun."""
     if isinstance(x, Scalar):
         return ONE
     from .poly import RatFun, Poly
@@ -235,7 +236,7 @@ def det_adjugate(a):
     n = len(a)
     if n == 0:
         return ONE, []
-    one = _ring_one(a[0][0])
+    one = _one_like(a[0][0])
     zero = a[0][0] - a[0][0]
     m_k = zeros(n, n, zero=zero)
     c = one  # c_n
@@ -252,17 +253,6 @@ def det_adjugate(a):
 
 def det(a):
     return det_adjugate(a)[0]
-
-
-def _ring_one(x):
-    if isinstance(x, Scalar):
-        return ONE
-    from .poly import RatFun, Poly
-    if isinstance(x, RatFun):
-        return RatFun.of(1)
-    if isinstance(x, Poly):
-        return Poly.const(1)
-    raise TypeError(f"no unit for {type(x)}")
 
 
 def _int_div(x, k: int):

@@ -223,26 +223,44 @@ class MatPDO:
     # ---------------------------------------------------------------- inversion
 
     def invert(self, depth=None) -> "MatPDO":
-        """Neumann-series inverse of I + (strictly negative orders)."""
+        """Inverse of I + (strictly negative orders), order by order.
+
+        With K = I + sum_{k<0} A_k D^k and B = sum_{m>=0} B_m D^{-m}, the
+        order -m part of K B = I gives B_0 = I and
+
+            B_m = - sum_{k<0, j>=0} C(k, j) A_k B_{m+k-j}^(j) ,
+
+        where m + k - j runs over 0 .. m-1, so each B_m needs only the earlier
+        ones and their derivatives, which are kept per order.
+        """
         d = self.depth if depth is None else depth
         if self.rows != self.cols:
             raise ShapeMismatch("only square operators can be inverted")
-        ident = MatPDO.identity(self.rows, depth=d, var=self.var)
+        ident = linalg.identity(self.rows, one=R_ONE, zero=R_ZERO)
         if any(k > 0 for k in self.terms):
             raise NotUnitriangular("positive orders present")
-        if not linalg.mat_eq(self.coeff(0), ident.coeff(0)):
+        if not linalg.mat_eq(self.coeff(0), ident):
             raise NotUnitriangular("order-0 part is not the identity")
-        n = MatPDO(self.rows, self.cols,
-                   {k: m for k, m in self.terms.items() if k < 0},
-                   depth=d, var=self.var)
-        out = ident
-        power = ident
-        for _ in range(d):
-            power = power.mul(-n, depth=d)
-            if power.is_zero():
-                break
-            out = out + power
-        return out
+        a = {k: m for k, m in self.terms.items() if -d <= k < 0}
+        derivs = {0: [ident]}  # derivs[m][j] = B_m^(j), for the nonzero B_m
+        for m in range(1, d + 1):
+            acc = None
+            for k, ak in a.items():
+                for j in range(m + k + 1):
+                    bs = derivs.get(m + k - j)
+                    if bs is None:
+                        continue
+                    while len(bs) <= j:
+                        bs.append([[e.derivative() for e in row] for row in bs[-1]])
+                    prod = linalg.mmul(ak, bs[j])
+                    c = binom(k, j)
+                    if c != 1:
+                        prod = linalg.mscale(prod, RatFun.of(sc(c)))
+                    acc = prod if acc is None else linalg.madd(acc, prod)
+            if acc is not None and not linalg.mat_is_zero(acc):
+                derivs[m] = [linalg.mneg(acc)]
+        return MatPDO(self.rows, self.cols, {-m: bs[0] for m, bs in derivs.items()},
+                      depth=d, var=self.var)
 
     # ---------------------------------------------------------------- action
 

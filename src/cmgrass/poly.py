@@ -47,7 +47,7 @@ class Poly:
         return not self.coeffs
 
     def is_exact(self) -> bool:
-        return all(c.is_exact for c in self.coeffs)
+        return all(c.val is None for c in self.coeffs)
 
     def coeff(self, k: int) -> Scalar:
         return self.coeffs[k] if 0 <= k < len(self.coeffs) else ZERO
@@ -111,10 +111,11 @@ class Poly:
         q = [ZERO] * max(0, self.degree() - other.degree() + 1)
         rem = list(self.coeffs)
         dlead = other.leading()
+        inv = dlead.inverse()
         dd = other.degree()
         while len(rem) - 1 >= dd and rem:
             k = len(rem) - 1 - dd
-            f = rem[-1] / dlead
+            f = rem[-1] * inv
             q[k] = f
             for i, b in enumerate(other.coeffs):
                 rem[k + i] = rem[k + i] - f * b
@@ -129,10 +130,15 @@ class Poly:
         return self.divmod(other)[1]
 
     def gcd(self, other: "Poly") -> "Poly":
+        """Monic gcd, by Euclid on monic remainders (no division by a leading
+        coefficient inside the loop)."""
         a, b = self, _as_poly(other)
+        if a.degree() == 0 or b.degree() == 0:
+            return P_ONE
+        b = b.monic()
         while not b.is_zero():
-            a, b = b, a % b
-        return a.monic() if not a.is_zero() else a
+            a, b = b, (a % b).monic()
+        return a.monic()
 
     def monic(self) -> "Poly":
         if self.is_zero():
@@ -234,7 +240,8 @@ class RatFun:
             raise ZeroDivisionError("rational function with zero denominator")
         if num.is_zero():
             num, den = Poly(), P_ONE
-        elif reduce and num.is_exact() and den.is_exact():
+        elif (reduce and num.degree() > 0 and den.degree() > 0
+              and num.is_exact() and den.is_exact()):
             g = num.gcd(den)
             if g.degree() > 0:
                 num = num // g
@@ -281,10 +288,34 @@ class RatFun:
 
     # ------------------------------------------------------------ arithmetic
 
+    # Exact values are reduced with monic denominators, so sums and products
+    # reduce by gcds of the factors (Henrici; Knuth, TAOCP 2, 4.5.1) and the
+    # result is built with reduce=False.  Numeric values take the plain
+    # formulas, which __init__ does not reduce.
+
     def __add__(self, other):
         other = RatFun.of(other)
-        return RatFun(self.num * other.den + other.num * self.den,
-                      self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not (self.is_exact() and other.is_exact()):
+            return RatFun(a * d + c * b, b * d)
+        if c.is_zero():
+            return self
+        if a.is_zero():
+            return other
+        if b == d:
+            g = b
+        elif b.degree() == 0 or d.degree() == 0:
+            g = P_ONE
+        else:
+            g = b.gcd(d)
+        if g.degree() == 0:
+            return RatFun(a * d + c * b, b * d, reduce=False)
+        b1, d1 = b // g, d // g
+        t = a * d1 + c * b1
+        g2 = t.gcd(g)
+        if g2.degree() > 0:
+            t, g = t // g2, g // g2
+        return RatFun(t, b1 * d1 * g, reduce=False)
 
     __radd__ = __add__
 
@@ -299,7 +330,20 @@ class RatFun:
 
     def __mul__(self, other):
         other = RatFun.of(other)
-        return RatFun(self.num * other.num, self.den * other.den)
+        a, b, c, d = self.num, self.den, other.num, other.den
+        if not (self.is_exact() and other.is_exact()):
+            return RatFun(a * c, b * d)
+        if a.is_zero() or c.is_zero():
+            return R_ZERO
+        if d.degree() > 0 and a.degree() > 0:
+            g = a.gcd(d)
+            if g.degree() > 0:
+                a, d = a // g, d // g
+        if b.degree() > 0 and c.degree() > 0:
+            g = c.gcd(b)
+            if g.degree() > 0:
+                c, b = c // g, b // g
+        return RatFun(a * c, b * d, reduce=False)
 
     __rmul__ = __mul__
 
@@ -307,19 +351,30 @@ class RatFun:
         other = RatFun.of(other)
         if other.is_zero():
             raise ZeroDivisionError("rational function division by zero")
-        return RatFun(self.num * other.den, self.den * other.num)
+        if not (self.is_exact() and other.is_exact()):
+            return RatFun(self.num * other.den, self.den * other.num)
+        return self * RatFun(other.den, other.num, reduce=False)
 
     def __rtruediv__(self, other):
         return RatFun.of(other) / self
 
     def __pow__(self, k: int):
         if k < 0:
-            return (RatFun(self.den, self.num)) ** (-k)
-        return RatFun(self.num ** k, self.den ** k)
+            return RatFun(self.den, self.num, reduce=False) ** (-k)
+        return RatFun(self.num ** k, self.den ** k, reduce=False)
 
     def derivative(self) -> "RatFun":
-        return RatFun(self.num.derivative() * self.den - self.num * self.den.derivative(),
-                      self.den * self.den)
+        n, d = self.num, self.den
+        if not self.is_exact():
+            return RatFun(n.derivative() * d - n * d.derivative(), d * d)
+        if d.degree() == 0:
+            return RatFun(n.derivative())
+        # with g = gcd(d, d'), s = d/g and t = d'/g, the reduced form of
+        # (n/d)' is (n' s - n t) / (s d): no prime factor of s d divides it
+        dd = d.derivative()
+        g = d.gcd(dd)
+        s, t = d // g, dd // g
+        return RatFun(n.derivative() * s - n * t, s * d, reduce=False)
 
     def eval(self, x) -> Scalar:
         x = sc(x)
@@ -329,8 +384,9 @@ class RatFun:
         return self.num.eval(x) / d
 
     def subs_square(self) -> "RatFun":
-        """f(z^2)."""
-        return RatFun(self.num.compose_square(), self.den.compose_square())
+        """f(z^2); coprime num and den stay coprime."""
+        return RatFun(self.num.compose_square(), self.den.compose_square(),
+                      reduce=False)
 
     # ------------------------------------------------------------ local expansions
 
@@ -389,6 +445,8 @@ class RatFun:
             other = RatFun.of(other)
         except TypeError:
             return NotImplemented
+        if self.is_exact() and other.is_exact():
+            return self.num == other.num and self.den == other.den
         return self.num * other.den == other.num * self.den
 
     def __hash__(self):

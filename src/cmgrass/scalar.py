@@ -2,8 +2,11 @@
 
 Every value in the toolkit is built from :class:`Scalar`.  A scalar is either
 
-* *exact*: a pair of arbitrary-precision rationals (real and imaginary part),
-  closed under field arithmetic with decidable equality; or
+* *exact*: an element ``(a + b i) / d`` of Q(i), stored as one canonical
+  integer triple ``(a, b, d)`` with ``d > 0`` and ``gcd(a, b, d) = 1`` (zero
+  is ``(0, 0, 1)``).  Every field operation costs one three-argument
+  ``math.gcd``, and equality is equality of triples; ``re`` and ``im`` give
+  the parts as :class:`fractions.Fraction`; or
 * *numeric*: a complex double, compared up to the global tolerance
   ``|a - b| <= eps * max(1, |a|, |b|)``.
 
@@ -12,8 +15,8 @@ Mixing the two modes coerces to numeric.
 
 from __future__ import annotations
 
-import cmath
 from fractions import Fraction
+from math import gcd
 
 EXACT = "exact"
 NUMERIC = "numeric"
@@ -33,22 +36,37 @@ def tolerance() -> float:
     return _EPS
 
 
+def _reduced(a: int, b: int, d: int) -> "Scalar":
+    """The exact scalar (a + b i)/d for d > 0, divided by gcd(a, b, d)."""
+    g = gcd(a, b, d)
+    if g != 1:
+        return Scalar(a // g, b // g, d // g)
+    return Scalar(a, b, d)
+
+
 class Scalar:
     """An element of Q(i) (exact mode) or C-as-doubles (numeric mode)."""
 
-    __slots__ = ("re", "im", "val")
+    __slots__ = ("a", "b", "d", "val")
 
-    def __init__(self, re=None, im=None, val=None):
-        # exact: re, im are Fractions and val is None; numeric: val is complex
-        self.re = re
-        self.im = im
+    def __init__(self, a=None, b=None, d=None, val=None):
+        # exact: the canonical triple (a, b, d) and val is None;
+        # numeric: val is complex and the triple is None
+        self.a = a
+        self.b = b
+        self.d = d
         self.val = val
 
     # ---------------------------------------------------------------- factories
 
     @staticmethod
     def exact(re, im=0) -> "Scalar":
-        return Scalar(Fraction(re), Fraction(im))
+        if type(re) is int and type(im) is int:
+            return Scalar(re, im, 1)
+        re, im = Fraction(re), Fraction(im)
+        p, q = re.denominator, im.denominator
+        d = p // gcd(p, q) * q  # lcm: gcd(a, b, d) = 1 already
+        return Scalar(re.numerator * (d // p), im.numerator * (d // q), d)
 
     @staticmethod
     def numeric(z) -> "Scalar":
@@ -62,12 +80,22 @@ class Scalar:
     def is_exact(self) -> bool:
         return self.val is None
 
+    @property
+    def re(self):
+        """Real part as a Fraction (None in numeric mode)."""
+        return None if self.val is not None else Fraction(self.a, self.d)
+
+    @property
+    def im(self):
+        """Imaginary part as a Fraction (None in numeric mode)."""
+        return None if self.val is not None else Fraction(self.b, self.d)
+
     # ---------------------------------------------------------------- conversion
 
     def to_complex(self) -> complex:
         if self.val is not None:
             return self.val
-        return complex(float(self.re), float(self.im))
+        return complex(self.a / self.d, self.b / self.d)
 
     def to_numeric(self) -> "Scalar":
         return self if self.val is not None else Scalar(val=self.to_complex())
@@ -82,11 +110,13 @@ class Scalar:
     # ---------------------------------------------------------------- predicates
 
     def is_zero(self) -> bool:
-        if self.is_exact:
-            return self.re == 0 and self.im == 0
+        if self.val is None:
+            return self.a == 0 and self.b == 0
         return abs(self.val) <= _EPS
 
     def is_one(self) -> bool:
+        if self.val is None:
+            return self.a == 1 and self.b == 0 and self.d == 1
         return (self - ONE).is_zero()
 
     def __bool__(self) -> bool:
@@ -95,16 +125,27 @@ class Scalar:
     # ---------------------------------------------------------------- arithmetic
 
     def __add__(self, other):
-        other = sc(other)
-        if self.is_exact and other.is_exact:
-            return Scalar(self.re + other.re, self.im + other.im)
+        if type(other) is not Scalar:
+            other = sc(other)
+        if self.val is None and other.val is None:
+            if not other.a and not other.b:
+                return self
+            if not self.a and not self.b:
+                return other
+            d, q = self.d, other.d
+            if d == q:
+                if d == 1:
+                    return Scalar(self.a + other.a, self.b + other.b, 1)
+                return _reduced(self.a + other.a, self.b + other.b, d)
+            return _reduced(self.a * q + other.a * d, self.b * q + other.b * d,
+                            d * q)
         return Scalar(val=self.to_complex() + other.to_complex())
 
     __radd__ = __add__
 
     def __neg__(self):
-        if self.is_exact:
-            return Scalar(-self.re, -self.im)
+        if self.val is None:
+            return Scalar(-self.a, -self.b, self.d)
         return Scalar(val=-self.val)
 
     def __sub__(self, other):
@@ -114,20 +155,25 @@ class Scalar:
         return sc(other) + (-self)
 
     def __mul__(self, other):
-        other = sc(other)
-        if self.is_exact and other.is_exact:
-            a, b, c, d = self.re, self.im, other.re, other.im
-            return Scalar(a * c - b * d, a * d + b * c)
+        if type(other) is not Scalar:
+            other = sc(other)
+        if self.val is None and other.val is None:
+            a, b, c, e = self.a, self.b, other.a, other.b
+            d = self.d * other.d
+            if d == 1:
+                return Scalar(a * c - b * e, a * e + b * c, 1)
+            return _reduced(a * c - b * e, a * e + b * c, d)
         return Scalar(val=self.to_complex() * other.to_complex())
 
     __rmul__ = __mul__
 
     def inverse(self) -> "Scalar":
-        if self.is_exact:
-            n = self.re * self.re + self.im * self.im
+        if self.val is None:
+            a, b, d = self.a, self.b, self.d
+            n = a * a + b * b
             if n == 0:
                 raise ZeroDivisionError("exact scalar division by zero")
-            return Scalar(self.re / n, -self.im / n)
+            return _reduced(a * d, -b * d, n)
         if self.val == 0:
             raise ZeroDivisionError("numeric scalar division by zero")
         return Scalar(val=1.0 / self.val)
@@ -153,8 +199,8 @@ class Scalar:
         return out
 
     def conjugate(self) -> "Scalar":
-        if self.is_exact:
-            return Scalar(self.re, -self.im)
+        if self.val is None:
+            return Scalar(self.a, -self.b, self.d)
         return Scalar(val=self.val.conjugate())
 
     def __abs__(self) -> float:
@@ -163,30 +209,32 @@ class Scalar:
     # ---------------------------------------------------------------- comparison
 
     def __eq__(self, other) -> bool:
-        try:
-            other = sc(other)
-        except TypeError:
-            return NotImplemented
-        if self.is_exact and other.is_exact:
-            return self.re == other.re and self.im == other.im
+        if type(other) is not Scalar:
+            try:
+                other = sc(other)
+            except TypeError:
+                return NotImplemented
+        if self.val is None and other.val is None:
+            return self.a == other.a and self.b == other.b and self.d == other.d
         a, b = self.to_complex(), other.to_complex()
         return abs(a - b) <= _EPS * max(1.0, abs(a), abs(b))
 
     def __hash__(self):
-        if not self.is_exact:
+        if self.val is not None:
             raise TypeError("numeric scalars are not hashable")
         return hash((self.re, self.im))
 
     # ---------------------------------------------------------------- display
 
     def __repr__(self):
-        if self.is_exact:
-            if self.im == 0:
-                return str(self.re)
-            if self.re == 0:
-                return f"{self.im}i"
-            sign = "+" if self.im > 0 else "-"
-            return f"({self.re}{sign}{abs(self.im)}i)"
+        if self.val is None:
+            re, im = self.re, self.im
+            if im == 0:
+                return str(re)
+            if re == 0:
+                return f"{im}i"
+            sign = "+" if im > 0 else "-"
+            return f"({re}{sign}{abs(im)}i)"
         return repr(self.val)
 
 
@@ -195,21 +243,14 @@ def sc(x) -> Scalar:
     if isinstance(x, Scalar):
         return x
     if isinstance(x, (int, Fraction)):
-        return Scalar(Fraction(x), Fraction(0))
+        return Scalar.exact(x)
     if isinstance(x, (float, complex)):
         return Scalar(val=complex(x))
     if isinstance(x, tuple) and len(x) == 2:
-        return Scalar(Fraction(x[0]), Fraction(x[1]))
+        return Scalar.exact(x[0], x[1])
     raise TypeError(f"cannot coerce {x!r} to Scalar")
 
 
 ZERO = Scalar.exact(0)
 ONE = Scalar.exact(1)
 I = Scalar.exact(0, 1)
-
-
-def close(a, b, tol=None) -> bool:
-    """Numeric closeness with an explicit tolerance (defaults to the global one)."""
-    t = _EPS if tol is None else tol
-    x, y = sc(a).to_complex(), sc(b).to_complex()
-    return abs(x - y) <= t * max(1.0, abs(x), abs(y))

@@ -1,5 +1,9 @@
-import pytest
+import random
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from cmgrass import opcalc, randpoints
 from cmgrass.algebra import MatPDO, pdo_b, pdo_invert, pdo_mul, pdo_star_mul
 from cmgrass.errors import NonPolynomialCoefficient, NotUnitriangular
 from cmgrass.poly import Poly, RatFun, R_ONE, R_ZERO
@@ -102,3 +106,27 @@ def test_order_and_is_differential():
     assert sop({}).order() is None
     assert D.is_differential()
     assert not DINV.is_differential()
+
+
+def _neumann(k, depth):
+    """I + sum_j (-N)^j through depth, N the negative-order part of k."""
+    n = MatPDO(k.rows, k.cols, {o: m for o, m in k.terms.items() if o < 0},
+               depth=depth, var=k.var)
+    out = power = MatPDO.identity(k.rows, depth=depth, var=k.var)
+    for _ in range(depth):
+        power = pdo_mul(power, -n, depth=depth)
+        out = out + power
+    return out
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(st.integers(0, 10**6), st.integers(1, 2), st.integers(1, 2),
+       st.integers(1, 5))
+def test_invert_matches_neumann_on_kw(seed, n, r, depth):
+    p = randpoints.rand_cmpoint(random.Random(seed), n, r)
+    k = opcalc.kw(p, depth=depth).op
+    kinv = pdo_invert(k)
+    assert kinv.eq_through(_neumann(k, depth), depth=depth)
+    ident = MatPDO.identity(r, depth=depth)
+    assert pdo_mul(k, kinv).eq_through(ident, depth=depth)
+    assert pdo_mul(kinv, k).eq_through(ident, depth=depth)

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cmgrass.poly import Poly, RatFun, series_div, P_ONE
 from cmgrass.scalar import Scalar, sc, ONE
@@ -100,3 +101,71 @@ def test_poly_shift():
     p = Poly([1, 1])  # 1 + z
     q = p.shift(sc(2))
     assert q.eval(sc(0)) == p.eval(sc(2))
+
+
+# ---------------------------------------------------------------------------
+# Henrici-reduced RatFun arithmetic against full reduction
+
+PROPS = settings(max_examples=80, deadline=None, derandomize=True)
+
+coeffs = st.builds(Scalar.exact,
+                   st.fractions(min_value=-4, max_value=4, max_denominator=3),
+                   st.integers(min_value=-2, max_value=2))
+polys = st.lists(coeffs, max_size=3).map(Poly)
+nonzero_polys = polys.filter(lambda p: not p.is_zero())
+# denominators share the factor c, so the sum and product gcds are nontrivial
+pairs = st.builds(lambda c, e1, e2, n1, n2: (RatFun(n1, c * e1), RatFun(n2, c * e2)),
+                  nonzero_polys, nonzero_polys, nonzero_polys, polys, polys)
+
+
+def _reduced(f):
+    assert f.den.leading() == ONE
+    assert f.num.gcd(f.den) == P_ONE or f.num.is_zero()
+
+
+def _same(f, g):
+    return f.num.coeffs == g.num.coeffs and f.den.coeffs == g.den.coeffs
+
+
+@PROPS
+@given(pairs)
+def test_ratfun_ops_match_full_reduction(fg):
+    f, g = fg
+    (n1, d1), (n2, d2) = (f.num, f.den), (g.num, g.den)
+    cases = [(f + g, RatFun(n1 * d2 + n2 * d1, d1 * d2)),
+             (f - g, RatFun(n1 * d2 - n2 * d1, d1 * d2)),
+             (f * g, RatFun(n1 * n2, d1 * d2)),
+             (f.derivative(), RatFun(n1.derivative() * d1 - n1 * d1.derivative(),
+                                     d1 * d1))]
+    if not g.is_zero():
+        cases.append((f / g, RatFun(n1 * d2, d1 * n2)))
+    for got, want in cases:
+        _reduced(got)
+        assert _same(got, want)
+        assert got == want
+
+
+def test_ratfun_cancelling_cases():
+    x = Poly.var()
+    one = P_ONE
+    f = RatFun(one, x - one)
+    assert _same(f - f, RatFun.of(0))
+    assert (f - f).den == P_ONE
+    g = RatFun(x, x * x - one) * RatFun(x - one)
+    assert _same(g, RatFun(x, x + one))
+    h = RatFun(one, x - one) + RatFun(one, x + one)     # 2x/(x^2-1)
+    assert _same(h, RatFun(x.scale(2), x * x - one))
+    k = RatFun(x, x - one) + RatFun(-one, x - one)      # 1
+    assert _same(k, RatFun.of(1))
+
+
+def test_ratfun_exact_equality_is_structural():
+    x = Poly.var()
+    f = RatFun(x.scale(2), x * x - P_ONE)
+    assert f == RatFun(x.scale(4), (x * x - P_ONE).scale(2))
+    assert f != RatFun(x, x * x - P_ONE)
+    # numeric values still compare by cross-multiplication
+    num = RatFun(Poly([Scalar.numeric(0.0), Scalar.numeric(2.0)]),
+                 Poly([Scalar.numeric(-1.0), Scalar.numeric(0.0),
+                       Scalar.numeric(1.0)]))
+    assert num == f
