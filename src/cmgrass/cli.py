@@ -19,7 +19,7 @@ from fractions import Fraction
 from . import flows, grass, opcalc, serialize, verify
 from .cmspace import (CMPoint, Quadruple, bisp_involution, canonicalize,
                       embed_rank, from_cd_coords, moment_residual)
-from .errors import OutsideBigCell
+from .errors import CMGrassError, OutsideBigCell
 from .pdo import DEFAULT_DEPTH
 from .poly import Poly
 from .scalar import Scalar, sc, set_tolerance
@@ -57,24 +57,10 @@ def _emit(data, args):
     print(text)
 
 
-def _to_numeric_point(p):
-    if isinstance(p, CMPoint):
-        return CMPoint(n=p.n, r=p.r,
-                       lam=[x.to_numeric() for x in p.lam],
-                       alpha=[x.to_numeric() for x in p.alpha],
-                       vrow=[[x.to_numeric() for x in v] for v in p.vrow],
-                       wcol=[[x.to_numeric() for x in w] for w in p.wcol])
-    return Quadruple(n=p.n, r=p.r,
-                     X=[[x.to_numeric() for x in row] for row in p.X],
-                     Y=[[x.to_numeric() for x in row] for row in p.Y],
-                     v=[[x.to_numeric() for x in row] for row in p.v],
-                     w=[[x.to_numeric() for x in row] for row in p.w])
-
-
 def _load_point(args):
     obj = serialize.from_json(_load_payload(args.infile))
     if args.mode == "numeric":
-        obj = _to_numeric_point(obj)
+        obj = obj.to_numeric()
     return obj
 
 
@@ -316,6 +302,9 @@ def main(argv=None) -> int:
         set_tolerance(args.tol)
     try:
         return args.func(args)
+    except CMGrassError as e:
+        _emit({"error": type(e).__name__, "message": str(e)}, args)
+        return 1
     except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2

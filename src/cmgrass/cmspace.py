@@ -49,6 +49,16 @@ class Quadruple:
             for a, b in ((self.X, other.X), (self.Y, other.Y),
                          (self.v, other.v), (self.w, other.w)))
 
+    def to_numeric(self) -> "Quadruple":
+        """The same point with every entry a numeric (complex) scalar."""
+        return Quadruple(n=self.n, r=self.r, X=_numeric(self.X),
+                         Y=_numeric(self.Y), v=_numeric(self.v),
+                         w=_numeric(self.w))
+
+
+def _numeric(m):
+    return [[x.to_numeric() for x in row] for row in m]
+
 
 def _freeze(m, rows, cols):
     mm = tuple(tuple(sc(e) for e in row) for row in m)
@@ -110,6 +120,13 @@ class CMPoint:
                         for a, b in zip(va, vb))
                 and all(a == b for wa, wb in zip(self.wcol, other.wcol)
                         for a, b in zip(wa, wb)))
+
+    def to_numeric(self) -> "CMPoint":
+        """The same point with every coordinate a numeric (complex) scalar."""
+        return CMPoint(n=self.n, r=self.r,
+                       lam=[x.to_numeric() for x in self.lam],
+                       alpha=[x.to_numeric() for x in self.alpha],
+                       vrow=_numeric(self.vrow), wcol=_numeric(self.wcol))
 
 
 def gauge_fix(n, r, lam, alpha, vrow, wcol) -> CMPoint:

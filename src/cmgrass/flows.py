@@ -39,26 +39,6 @@ def hamiltonian(q: Quadruple, k: int, alpha) -> Scalar:
     return linalg.trace(m) if q.n else ZERO
 
 
-def vector_field(q: Quadruple, k: int, alpha):
-    """Right-hand side (dX, dY, dv, dw) of the equations of motion.
-
-    dX is the symmetrized sum  Y^{k-1-j} (v a w) Y^j  (zero for k = 0, v a w
-    for k = 1), dY = 0, dv = Y^k v a, dw = -a w Y^k.
-    """
-    Y = linalg.mat(q.Y)
-    a = linalg.mat(alpha)
-    vaw = linalg.mmul(linalg.mat(q.v), linalg.mmul(a, linalg.mat(q.w)))
-    dX = linalg.zeros(q.n, q.n)
-    for j in range(k):
-        dX = linalg.madd(dX, linalg.mmul(linalg.mpow(Y, k - 1 - j),
-                                         linalg.mmul(vaw, linalg.mpow(Y, j))))
-    dY = linalg.zeros(q.n, q.n)
-    dv = linalg.mmul(linalg.mpow(Y, k), linalg.mmul(linalg.mat(q.v), a))
-    dw = linalg.mneg(linalg.mmul(a, linalg.mmul(linalg.mat(q.w),
-                                                linalg.mpow(Y, k))))
-    return dX, dY, dv, dw
-
-
 # ---------------------------------------------------------------------------
 # closed-form flows
 
@@ -172,36 +152,67 @@ def flow_nilpotent(q: Quadruple, k: int, alpha, t) -> Quadruple:
 
 
 def flow_numeric(q: Quadruple, k: int, alpha, t, steps: int = 10000) -> Quadruple:
-    """Classical RK4 integration of the equations of motion (oracle only)."""
+    """Classical RK4 integration of the equations of motion (oracle only).
+
+    dX = sum_j Y^{k-1-j} (v a w) Y^j (zero for k = 0), dY = 0, dv = Y^k v a,
+    dw = -a w Y^k.  Y is constant and stays out of the state, which is one
+    flat complex vector
+
+        s = (vec X, vec v, 1, vec w, 1),   length n^2 + 2 n r + 2,
+
+    with row-major vec, so that vec(A M B) = kron(A, B^T) vec M.  The two
+    constant 1 entries make the outer product u = (vec v, 1) (x) (vec w, 1)
+    hold v (x) w, v and w at once, and every operator is folded into one
+    matrix F, built before the loop, with s' = F vec u:
+
+        vec dX = sum_j kron(Y^{k-1-j}, (Y^j)^T) vec(v a w)   (the v (x) w block),
+        vec dv = kron(Y^k, a^T) vec v                        (the v (x) 1 block),
+        vec dw = -kron(a, (Y^k)^T) vec w                     (the 1 (x) w block),
+
+    and zero rows for the 1 entries, which therefore stay exactly 1.  Each of
+    the four stages is one outer product and one matvec; the step count and
+    step rule are fixed, and no exponential or power of the step map is used.
+    """
+    n, r = q.n, q.r
     a = linalg.to_numpy([[sc(e) for e in row] for row in alpha])
     Y = linalg.to_numpy(q.Y)
-    yk = np.linalg.matrix_power(Y, k)
-    X = linalg.to_numpy(q.X)
-    v = linalg.to_numpy(q.v)
-    w = linalg.to_numpy(q.w)
-    ypows = [np.linalg.matrix_power(Y, j) for j in range(max(k, 1))]
+    ypows = [np.eye(n, dtype=complex)]
+    for _ in range(k):
+        ypows.append(ypows[-1] @ Y)
+    yk = ypows[k]
+    nx, nv = n * n, n * r
+    m = nv + 1
+    F = np.zeros((nx + 2 * m, m, m), dtype=complex)
+    # F[(i, l), (p, b), (c, o)] = sum_j (Y^{k-1-j})_{ip} a_bc (Y^j)_{ol}
+    right = np.array(ypows[:k], dtype=complex).reshape(k, n, n)
+    F[:nx, :nv, :nv] = np.einsum("jip,bc,jol->ilpbco", right[::-1], a,
+                                 right).reshape(nx, nv, nv)
+    F[nx:nx + nv, :nv, nv] = np.kron(yk, a.T)
+    F[nx + m:nx + m + nv, nv, :nv] = -np.kron(a, yk.T)
+    F = F.reshape(nx + 2 * m, m * m)
 
-    def rhs(state):
-        X_, v_, w_ = state
-        vaw = v_ @ a @ w_
-        dX = np.zeros_like(X_)
-        for j in range(k):
-            dX += ypows[k - 1 - j] @ vaw @ ypows[j]
-        return (dX, yk @ v_ @ a, -(a @ w_ @ yk))
+    dot = np.dot
 
-    dt = sc(t).to_complex() / steps
-    state = (X, v, w)
+    def rhs(s):
+        u = s[nx:]
+        return dot(F, (u[:m, None] * u[m:]).ravel())
+
+    one = np.ones(1, dtype=complex)
+    s = np.concatenate((linalg.to_numpy(q.X).ravel(),
+                        linalg.to_numpy(q.v).ravel(), one,
+                        linalg.to_numpy(q.w).ravel(), one))
+    h = sc(t).to_complex() / steps
+    h2, h6 = 0.5 * h, h / 6.0
     for _ in range(steps):
-        k1 = rhs(state)
-        k2 = rhs(tuple(s + 0.5 * dt * d for s, d in zip(state, k1)))
-        k3 = rhs(tuple(s + 0.5 * dt * d for s, d in zip(state, k2)))
-        k4 = rhs(tuple(s + dt * d for s, d in zip(state, k3)))
-        state = tuple(s + dt / 6.0 * (d1 + 2 * d2 + 2 * d3 + d4)
-                      for s, d1, d2, d3, d4 in zip(state, k1, k2, k3, k4))
-    X, v, w = state
-    return Quadruple(n=q.n, r=q.r, X=linalg.from_numpy(X),
-                     Y=linalg.from_numpy(Y), v=linalg.from_numpy(v),
-                     w=linalg.from_numpy(w))
+        k1 = rhs(s)
+        k2 = rhs(s + h2 * k1)
+        k3 = rhs(s + h2 * k2)
+        k4 = rhs(s + h * k3)
+        s = s + h6 * (k1 + 2 * (k2 + k3) + k4)
+    return Quadruple(n=n, r=r, X=linalg.from_numpy(s[:nx].reshape(n, n)),
+                     Y=linalg.from_numpy(Y),
+                     v=linalg.from_numpy(s[nx:nx + nv].reshape(n, r)),
+                     w=linalg.from_numpy(s[nx + m:-1].reshape(r, n)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,56 +224,36 @@ def poisson_bracket(q: Quadruple, spec1, spec2, h: float = 1e-4) -> Scalar:
 
     The pairing tr(dY ^ dX + dw ^ dv) makes (X_ij, Y_ji) and (v_ia, w_ai)
     canonically conjugate; the bracket is assembled from central differences
-    with step h.
+    with step h.  All 2 (2n^2 + 2nr) perturbed copies of (X, Y, v, w) are
+    stacked and each Hamiltonian is evaluated on the stack at once.
     """
-    k1, a1 = spec1
-    k2, a2 = spec2
-    a1 = linalg.to_numpy([[sc(e) for e in row] for row in a1])
-    a2 = linalg.to_numpy([[sc(e) for e in row] for row in a2])
-    X = linalg.to_numpy(q.X)
-    Y = linalg.to_numpy(q.Y)
-    v = linalg.to_numpy(q.v)
-    w = linalg.to_numpy(q.w)
+    n, r = q.n, q.r
+    nx, nv = n * n, n * r
+    base = np.concatenate([linalg.to_numpy(m).ravel()
+                           for m in (q.X, q.Y, q.v, q.w)])
+    N = base.size
+    # row c moves coordinate c by +h, row N + c moves it by -h
+    shift = h * np.eye(N)
+    pts = np.concatenate((base + shift, base - shift))
+    Ys = pts[:, nx:2 * nx].reshape(-1, n, n)
+    vs = pts[:, 2 * nx:2 * nx + nv].reshape(-1, n, r)
+    ws = pts[:, 2 * nx + nv:].reshape(-1, r, n)
 
-    def ham(X_, Y_, v_, w_, k, a):
-        return np.trace(np.linalg.matrix_power(Y_, k) @ v_ @ a @ w_)
+    def grads(spec):
+        k, a = spec
+        a = linalg.to_numpy([[sc(e) for e in row] for row in a])
+        # J does not read X: the rows that move X give partials of exactly 0
+        f = np.trace(np.linalg.matrix_power(Ys, k) @ vs @ a @ ws,
+                     axis1=1, axis2=2)
+        g = (f[:N] - f[N:]) / (2 * h)
+        return (g[:nx].reshape(n, n), g[nx:2 * nx].reshape(n, n),
+                g[2 * nx:2 * nx + nv].reshape(n, r),
+                g[2 * nx + nv:].reshape(r, n))
 
-    def grads(k, a):
-        dX = np.zeros_like(X)
-        dY = np.zeros_like(Y)
-        dv = np.zeros_like(v)
-        dw = np.zeros_like(w)
-        for i in range(q.n):
-            for j in range(q.n):
-                for (arr, out) in ((X, dX), (Y, dY)):
-                    old = arr[i, j]
-                    arr[i, j] = old + h
-                    fp = ham(X, Y, v, w, k, a)
-                    arr[i, j] = old - h
-                    fm = ham(X, Y, v, w, k, a)
-                    arr[i, j] = old
-                    out[i, j] = (fp - fm) / (2 * h)
-        for i in range(q.n):
-            for aa in range(q.r):
-                for (arr, out, idx) in ((v, dv, (i, aa)), (w, dw, (aa, i))):
-                    old = arr[idx]
-                    arr[idx] = old + h
-                    fp = ham(X, Y, v, w, k, a)
-                    arr[idx] = old - h
-                    fm = ham(X, Y, v, w, k, a)
-                    arr[idx] = old
-                    out[idx] = (fp - fm) / (2 * h)
-        return dX, dY, dv, dw
-
-    dX1, dY1, dv1, dw1 = grads(k1, a1)
-    dX2, dY2, dv2, dw2 = grads(k2, a2)
+    dX1, dY1, dv1, dw1 = grads(spec1)
+    dX2, dY2, dv2, dw2 = grads(spec2)
     # {F, G} = sum dF/dY_ji dG/dX_ij - dF/dX_ij dG/dY_ji + (w, v analogue);
     # with this orientation {J_{k,a}, J_{l,b}} = J_{k+l,[a,b]}
-    val = 0j
-    for i in range(q.n):
-        for j in range(q.n):
-            val += dY1[j, i] * dX2[i, j] - dX1[i, j] * dY2[j, i]
-    for i in range(q.n):
-        for aa in range(q.r):
-            val += dw1[aa, i] * dv2[i, aa] - dv1[i, aa] * dw2[aa, i]
+    val = (np.sum(dY1.T * dX2 - dX1 * dY2.T)
+           + np.sum(dw1.T * dv2 - dv1 * dw2.T))
     return Scalar.numeric(val)

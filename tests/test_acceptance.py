@@ -31,14 +31,6 @@ def _report(num: int, ok: bool, detail: str = ""):
     assert ok, f"criterion {num} failed: {detail}"
 
 
-def _num_point(p: CMPoint) -> CMPoint:
-    return CMPoint(n=p.n, r=p.r,
-                   lam=[x.to_numeric() for x in p.lam],
-                   alpha=[x.to_numeric() for x in p.alpha],
-                   vrow=[[x.to_numeric() for x in v] for v in p.vrow],
-                   wcol=[[x.to_numeric() for x in w] for w in p.wcol])
-
-
 P0 = CMPoint(n=1, r=1, lam=[0], alpha=[0], vrow=[[1]], wcol=[[-1]])
 W0 = grass.beta(P0)
 BASE1 = grass.base_point(1)
@@ -88,7 +80,7 @@ def test_criterion_03_flow_consistency():
         for _ in range(20):
             n = rng.randint(1, 3)
             r = rng.randint(2, 3)
-            p = _num_point(rp.rand_cmpoint(rng, n, r))
+            p = rp.rand_cmpoint(rng, n, r).to_numeric()
             k = rng.randint(1, 2)
             a = [[x.to_numeric() for x in row] for row in rp.rand_alpha(rng, r)]
             t = Scalar.numeric(rng.uniform(-0.1, 0.1))

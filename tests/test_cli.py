@@ -3,9 +3,10 @@ import random
 
 import pytest
 
-from cmgrass import randpoints as rp, serialize
+from cmgrass import flows, randpoints as rp, serialize
 from cmgrass.cli import main
-from cmgrass.cmspace import CMPoint
+from cmgrass.cmspace import CMPoint, Quadruple
+from cmgrass.scalar import sc
 
 
 @pytest.fixture()
@@ -90,6 +91,42 @@ def test_flow_cli(point_file, capsys):
                  "--alpha", '[["2"]]', "--t", "1/2"]) == 0
     moved = serialize.from_json(json.loads(capsys.readouterr().out))
     assert moved.n == 1
+
+
+def _rank2_point_file(tmp_path):
+    p = rp.rand_cmpoint(random.Random(4), 2, 2)
+    f = tmp_path / "p2.json"
+    serialize.save(p, f)
+    return p, str(f)
+
+
+def test_flow_generic_exact_alpha_is_json_domain_error(tmp_path, capsys):
+    _, f = _rank2_point_file(tmp_path)
+    assert main(["flow", "--in", f, "--k", "1",
+                 "--alpha", "[[1,1],[0,2]]", "--t", "1"]) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "UnsupportedExactExponential"
+    assert "nilpotent" in err["message"]
+
+
+def test_point_canon_non_diagonal_exact_is_json_domain_error(tmp_path, capsys):
+    q = Quadruple(n=2, r=1, X=[[0, 1], [0, 0]], Y=[[1, 1], [0, 2]],
+                  v=[[1], [0]], w=[[0, 1]])
+    f = tmp_path / "q.json"
+    serialize.save(q, f)
+    assert main(["point", "canon", "--in", str(f)]) == 1
+    err = json.loads(capsys.readouterr().out)
+    assert err["error"] == "NonDiagonalExact"
+
+
+def test_flow_generic_alpha_numeric_mode(tmp_path, capsys):
+    p, f = _rank2_point_file(tmp_path)
+    assert main(["flow", "--in", f, "--mode", "numeric", "--k", "1",
+                 "--alpha", "[[1,1],[0,2]]", "--t", "1/4"]) == 0
+    moved = serialize.from_json(json.loads(capsys.readouterr().out))
+    want = flows.flow_closed(p.to_numeric(), 1,
+                             [[sc(1), sc(1)], [sc(0), sc(2)]], sc(0.25))
+    assert not moved.is_exact and moved == want
 
 
 def test_tau_cli(capsys):

@@ -20,6 +20,17 @@ def test_canonical_chart_lands_on_fiber():
         assert linalg.mat_is_zero(res)
 
 
+def test_to_numeric_keeps_the_point():
+    p = rp.rand_cmpoint(random.Random(2), 3, 2)
+    q = from_cd_coords(p)
+    pn, qn = p.to_numeric(), q.to_numeric()
+    assert p.is_exact and not pn.is_exact and pn == p
+    assert q.is_exact and not qn.is_exact and qn == q
+    assert all(x.val is not None for m in (qn.X, qn.Y, qn.v, qn.w)
+               for row in m for x in row)
+    assert from_cd_coords(pn) == qn
+
+
 def test_cmpoint_rejects_repeated_positions():
     with pytest.raises(RepeatedPositions):
         CMPoint(n=2, r=1, lam=[1, 1], alpha=[0, 0],
