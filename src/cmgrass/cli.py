@@ -305,7 +305,10 @@ def main(argv=None) -> int:
     except CMGrassError as e:
         _emit({"error": type(e).__name__, "message": str(e)}, args)
         return 1
-    except (OSError, json.JSONDecodeError, KeyError, ValueError) as e:
+    except KeyError as e:
+        print(f"error: missing field {e.args[0]!r}", file=sys.stderr)
+        return 2
+    except (OSError, json.JSONDecodeError, ValueError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
 

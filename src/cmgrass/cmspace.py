@@ -204,6 +204,15 @@ def from_cd_coords(p: CMPoint) -> Quadruple:
     return Quadruple(n=n, r=r, X=X, Y=Y, v=v, w=w)
 
 
+def as_quadruple(P) -> Quadruple:
+    """The quadruple of a point given in (c) coordinates or as a quadruple."""
+    if isinstance(P, CMPoint):
+        return from_cd_coords(P)
+    if isinstance(P, Quadruple):
+        return P
+    raise TypeError("expected a CMPoint or Quadruple")
+
+
 def from_cprime_coords(x, alpha, vrow, wcol) -> Quadruple:
     """Chart with X diagonal: Y_ii = alpha_i, Y_ij = -v_i w_j / (x_i - x_j)."""
     n = len(x)

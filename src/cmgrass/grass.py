@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import linalg
-from .cmspace import CMPoint, Quadruple, from_cd_coords
+from .cmspace import CMPoint, Quadruple, as_quadruple
 from .errors import (DegenerateCell, NotInBetaImage, OutsideBigCell,
                      SingularJet, SingularMatrix, SpectrumMismatch,
                      UnsupportedCell, UnsupportedRank)
@@ -249,14 +249,6 @@ def is_normalized(psi) -> bool:
     return True
 
 
-def _as_quadruple(P):
-    if isinstance(P, CMPoint):
-        return from_cd_coords(P)
-    if isinstance(P, Quadruple):
-        return P
-    raise TypeError("expected a CMPoint or Quadruple")
-
-
 def _rat_inverse_linear(M):
     """(t I + M)^{-1} over rational functions of the variable t."""
     n = len(M)
@@ -269,7 +261,7 @@ def _rat_inverse_linear(M):
 
 def stationary_baker(P, x):
     """I + w (xI + X)^{-1} (zI - Y)^{-1} v as a rational matrix in z."""
-    q = _as_quadruple(P)
+    q = as_quadruple(P)
     x = sc(x)
     ident = linalg.identity(q.r, one=R_ONE, zero=R_ZERO)
     if q.n == 0:
@@ -289,7 +281,7 @@ def stationary_baker(P, x):
 
 def stationary_baker_in_x(P, z0):
     """The same Baker function viewed as a rational matrix in x at fixed z."""
-    q = _as_quadruple(P)
+    q = as_quadruple(P)
     z0 = sc(z0)
     ident = linalg.identity(q.r, one=R_ONE, zero=R_ZERO)
     if q.n == 0:
@@ -309,7 +301,7 @@ def stationary_baker_in_x(P, z0):
 
 def psi2_det(P, x):
     """Determinant form of the stationary Baker function, width 1 only."""
-    q = _as_quadruple(P)
+    q = as_quadruple(P)
     if q.r != 1:
         raise UnsupportedRank("determinant formula requires width 1")
     x = sc(x)
@@ -331,7 +323,7 @@ def psi2_det(P, x):
 
 def big_cell_indicator(P, x):
     """det(xI + X): vanishes exactly where the stationary Baker function fails."""
-    q = _as_quadruple(P)
+    q = as_quadruple(P)
     x = sc(x)
     if q.n == 0:
         return ONE
@@ -700,18 +692,21 @@ def lattice_basis(W: GrPoint, order_bound: int, degree_bound: int) -> LatticeRes
                 rows.append(row)
 
     def kernel_with_max_order(kmax):
-        extra = []
-        for a in range(r):
-            for k in range(kmax + 1, K + 1):
-                for mp in range(d + 1):
-                    e = [ZERO] * nunk
-                    e[uidx(a, k, mp)] = ONE
-                    extra.append(e)
-        sys_rows = rows + extra
-        if not sys_rows:
-            return [[ONE if i == j else ZERO for i in range(nunk)]
-                    for j in range(nunk)]
-        return linalg.kernel_basis(sys_rows)
+        # the kernel on the columns of order <= kmax, padded with zeros
+        cols = [uidx(a, k, mp) for a in range(r) for k in range(kmax + 1)
+                for mp in range(d + 1)]
+        if rows:
+            basis = linalg.kernel_basis([[row[j] for j in cols]
+                                         for row in rows])
+        else:
+            basis = linalg.identity(len(cols))
+        padded = []
+        for u in basis:
+            v = [ZERO] * nunk
+            for j, x in zip(cols, u):
+                v[j] = x
+            padded.append(v)
+        return padded
 
     def vec_to_rows(u):
         out = {}
@@ -722,11 +717,12 @@ def lattice_basis(W: GrPoint, order_bound: int, degree_bound: int) -> LatticeRes
                 out[k] = tuple(row)
         return out
 
-    operators = tuple(vec_to_rows(u) for u in kernel_with_max_order(K)
+    full = kernel_with_max_order(K)
+    operators = tuple(vec_to_rows(u) for u in full
                       if any(not x.is_zero() for x in u))
     lead = []
     for k in range(K + 1):
-        for u in kernel_with_max_order(k):
+        for u in full if k == K else kernel_with_max_order(k):
             row = [Poly(tuple(u[uidx(a, k, mp)] for mp in range(d + 1)))
                    for a in range(r)]
             if any(not p.is_zero() for p in row):

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from math import factorial
 
 from . import linalg
-from .cmspace import CMPoint, Quadruple, from_cd_coords, bisp_involution
+from .cmspace import Quadruple, as_quadruple, bisp_involution, from_cd_coords
 from .errors import NotDifferential, UnsupportedPoleLocus
 from .grass import GrPoint, _beta_source, stationary_baker, laurent_expand, \
     _apply_condition
@@ -37,14 +37,6 @@ class KOperator:
             raise ValueError("K-operator order-0 part is not the identity")
 
 
-def _as_quadruple(P):
-    if isinstance(P, CMPoint):
-        return from_cd_coords(P)
-    if isinstance(P, Quadruple):
-        return P
-    raise TypeError("expected a CMPoint or Quadruple")
-
-
 def _resolvent_x(M):
     """(xI + M)^{-1} as a rational-function matrix in the operator variable."""
     n = len(M)
@@ -56,7 +48,7 @@ def _resolvent_x(M):
 
 def kw(P, depth: int = DEFAULT_DEPTH) -> KOperator:
     """I + w (xI + X)^{-1} (D - Y)^{-1} v, truncated below -depth."""
-    q = _as_quadruple(P)
+    q = as_quadruple(P)
     r, n = q.r, q.n
     terms = {0: linalg.identity(r, one=R_ONE, zero=R_ZERO)}
     if n:
@@ -74,7 +66,7 @@ def kw(P, depth: int = DEFAULT_DEPTH) -> KOperator:
 
 def kbw(P, depth: int = DEFAULT_DEPTH) -> KOperator:
     """I + v^t (xI - Y^t)^{-1} (D + X^t)^{-1} w^t, truncated below -depth."""
-    q = _as_quadruple(P)
+    q = as_quadruple(P)
     r, n = q.r, q.n
     terms = {0: linalg.identity(r, one=R_ONE, zero=R_ZERO)}
     if n:
@@ -152,7 +144,7 @@ def latt_witness(P, pvec) -> MatPDO:
     G := g(D) I + v^t (xI - Y^t)^{-1} adj(D + X^t) w^t is differential; the
     returned operator is G composed with multiplication by pvec(x).
     """
-    q = _as_quadruple(P)
+    q = as_quadruple(P)
     r, n = q.r, q.n
     ps = [p if isinstance(p, Poly) else Poly.const(sc(p)) for p in pvec]
     if len(ps) != r:

@@ -75,11 +75,6 @@ class MatPDO:
         r, c = linalg.shape(m)
         return MatPDO(r, c, {order: m}, depth=depth, var=var)
 
-    @staticmethod
-    def scalar_op(entry, order=0, depth=DEFAULT_DEPTH, var="x") -> "MatPDO":
-        return MatPDO.from_matrix([[RatFun.of(entry)]], order=order,
-                                  depth=depth, var=var)
-
     # ---------------------------------------------------------------- queries
 
     def coeff(self, k: int):
@@ -105,9 +100,6 @@ class MatPDO:
         """
         d = self.depth if depth is None else min(depth, self.depth)
         return all(k >= 0 for k in self.terms if k >= -d)
-
-    def is_polynomial(self) -> bool:
-        return all(e.is_poly() for m in self.terms.values() for row in m for e in row)
 
     # ---------------------------------------------------------------- ring ops
 

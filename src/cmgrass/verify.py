@@ -267,7 +267,7 @@ _RUNNERS = {
 
 def run_suite(name: str, rng: random.Random):
     if name not in _RUNNERS:
-        raise KeyError(f"unknown suite {name!r}; choose from {SUITES}")
+        raise ValueError(f"unknown suite {name!r}; choose from {SUITES}")
     return _RUNNERS[name](rng)
 
 

@@ -168,3 +168,14 @@ def test_parse_error_exit_code(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["point", "moment", "--in", str(bad)]) == 2
+
+
+def test_missing_field_is_named_usage_error(point_file, tmp_path, capsys):
+    data = json.loads(open(point_file).read())
+    del data["r"]
+    bad = tmp_path / "no_r.json"
+    bad.write_text(json.dumps(data))
+    assert main(["point", "moment", "--in", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.strip() == "error: missing field 'r'"
+    assert captured.out == ""

@@ -234,6 +234,98 @@ def test_lattice_operators_actually_map_into_W():
             assert grass.member([acc], W0)
 
 
+def _padded_lattice_basis(W, order_bound, degree_bound):
+    """lattice_basis with the kernels of order <= kmax taken on the full
+    column set, the higher orders zeroed by appended unit rows."""
+    r, K, d = W.r, order_bound, degree_bound
+    qd = grass.qden(W)
+    nunk = r * (K + 1) * (d + 1)
+
+    def uidx(a, k, m):
+        return (a * (K + 1) + k) * (d + 1) + m
+
+    rows = []
+    for s in W.sites:
+        lam, mj, dj = s.lam, s.pole_order, s.window_top
+        for mtest in range(K + mj + dj + 1):
+            ders = [(Poly.var() - Poly.const(lam)) ** mtest]
+            for _ in range(K):
+                ders.append(ders[-1].derivative())
+            window = {}
+            for k in range(K + 1):
+                if ders[k].is_zero():
+                    continue
+                for mp in range(d + 1):
+                    fn = RatFun(Poly.monomial(mp, ONE) * ders[k], qd)
+                    window[(k, mp)] = fn.laurent_at(lam, -mj, dj)
+            for cond in s.conditions:
+                row = [ZERO] * nunk
+                for (k, mp), lau in window.items():
+                    for a in range(r):
+                        acc = ZERO
+                        for kk in range(-mj, dj + 1):
+                            acc = acc + cond[(kk + mj) * r + a] * lau[kk + mj]
+                        row[uidx(a, k, mp)] = row[uidx(a, k, mp)] + acc
+                rows.append(row)
+
+    def kernel_with_max_order(kmax):
+        extra = []
+        for a in range(r):
+            for k in range(kmax + 1, K + 1):
+                for mp in range(d + 1):
+                    e = [ZERO] * nunk
+                    e[uidx(a, k, mp)] = ONE
+                    extra.append(e)
+        sys_rows = rows + extra
+        if not sys_rows:
+            return [[ONE if i == j else ZERO for i in range(nunk)]
+                    for j in range(nunk)]
+        return linalg.kernel_basis(sys_rows)
+
+    def order_row(u, k):
+        return [Poly(tuple(u[uidx(a, k, mp)] for mp in range(d + 1)))
+                for a in range(r)]
+
+    operators = []
+    for u in kernel_with_max_order(K):
+        op = {k: tuple(order_row(u, k)) for k in range(K + 1)
+              if any(not p.is_zero() for p in order_row(u, k))}
+        if op:
+            operators.append(op)
+    lead = [order_row(u, k) for k in range(K + 1)
+            for u in kernel_with_max_order(k)
+            if any(not p.is_zero() for p in order_row(u, k))]
+    return tuple(operators), tuple(tuple(row) for row in grass.poly_hnf(lead))
+
+
+def _lattice_cases():
+    rng = random.Random(606)
+    for make in (grass.lattice_example_W, grass.lattice_example_V):
+        site = make().sites[0]
+        for _ in range(4):
+            yield grass.GrPoint(
+                r=2, sites=(grass.Site(lam=rp.rand_scalar(rng),
+                                       pole_order=site.pole_order,
+                                       window_top=site.window_top,
+                                       conditions=site.conditions),),
+                provenance=("custom", make.__name__))
+    for n in (1, 2):
+        for r in (1, 2):
+            for _ in range(2):
+                yield grass.beta(rp.rand_cmpoint(rng, n, r))
+
+
+def test_lattice_basis_matches_padded_kernels():
+    rng = random.Random(607)
+    for W in _lattice_cases():
+        # a degree bound below deg qden often leaves no operator at all
+        for K, d in ((rng.randint(0, 3), rng.randint(0, 3)),
+                     (rng.randint(1, 3), 3)):
+            res = grass.lattice_basis(W, K, d)
+            assert (res.operators, res.generators) == \
+                _padded_lattice_basis(W, K, d)
+
+
 def test_poly_hnf_canonical():
     z = Poly.var()
     rows = [[z * z, z], [z, Poly([1])]]

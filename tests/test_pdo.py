@@ -4,8 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cmgrass import opcalc, randpoints
-from cmgrass.algebra import MatPDO, pdo_b, pdo_invert, pdo_mul, pdo_star_mul
 from cmgrass.errors import NonPolynomialCoefficient, NotUnitriangular
+from cmgrass.pdo import MatPDO
 from cmgrass.poly import Poly, RatFun, R_ONE, R_ZERO
 from cmgrass.scalar import sc
 
@@ -23,13 +23,13 @@ DINV = sop({-1: 1})            # d^{-1}
 
 def test_commutator_d_x():
     # D x - x D = 1
-    left = pdo_mul(D, X) - pdo_mul(X, D)
+    left = D.mul(X) - X.mul(D)
     assert left == sop({0: 1})
 
 
 def test_negative_order_leibniz():
     # d^{-1} x = x d^{-1} - d^{-2} (generalized Leibniz, truncated)
-    got = pdo_mul(DINV, X)
+    got = DINV.mul(X)
     want = sop({-1: Poly([0, 1]), -2: -1})
     assert got == want
 
@@ -39,8 +39,8 @@ def test_mul_associative_sample():
     b = sop({-1: Poly([1, 1])})
     c = sop({2: 1, -2: Poly([0, 0, 1])})
     # truncation is exact well above the boundary; compare high orders only
-    lhs = pdo_mul(pdo_mul(a, b), c)
-    rhs = pdo_mul(a, pdo_mul(b, c))
+    lhs = a.mul(b).mul(c)
+    rhs = a.mul(b.mul(c))
     assert lhs.eq_through(rhs, depth=4)
 
 
@@ -51,46 +51,47 @@ def test_transpose_antihomomorphism():
                            [R_ZERO, R_ONE]], -1: [[R_ONE, R_ZERO],
                                                   [R_ONE, R_ONE]]}, depth=6)
     # star is the opposite product: (m1 * m2)^t = m2^t star m1^t entries-wise
-    lhs = pdo_mul(m1, m2).transpose()
-    rhs = pdo_star_mul(m2.transpose(), m1.transpose())
+    lhs = m1.mul(m2).transpose()
+    rhs = m2.transpose().star_mul(m1.transpose())
     assert lhs == rhs
 
 
 def test_b_involution_swaps_symbols():
     # b(x) = d, b(d) = x, and b is an involution on polynomial operators
-    assert pdo_b(X) == D
-    assert pdo_b(D) == X
+    assert X.b_involution() == D
+    assert D.b_involution() == X
     a = sop({2: Poly([1, 0, 3]), 0: Poly([0, 5])})
-    assert pdo_b(pdo_b(a)) == a
+    assert a.b_involution().b_involution() == a
 
 
 def test_b_involution_antimultiplicative():
     a = sop({1: Poly([2, 1])})
     b = sop({0: Poly([0, 1]), 2: 3})
-    assert pdo_b(pdo_mul(a, b)) == pdo_mul(pdo_b(b), pdo_b(a))
+    assert a.mul(b).b_involution() == \
+        b.b_involution().mul(a.b_involution())
 
 
 def test_b_involution_rejects_nonpolynomial():
     bad = sop({0: RatFun(Poly([1]), Poly([0, 1]))})
     with pytest.raises(NonPolynomialCoefficient):
-        pdo_b(bad)
+        bad.b_involution()
     with pytest.raises(NonPolynomialCoefficient):
-        pdo_b(DINV)
+        DINV.b_involution()
 
 
 def test_invert_neumann():
     k = sop({0: 1, -1: RatFun(Poly([1]), Poly([0, 1]))})
-    kinv = pdo_invert(k)
-    prod = pdo_mul(k, kinv)
+    kinv = k.invert()
+    prod = k.mul(kinv)
     ident = sop({0: 1})
     assert prod.eq_through(ident, depth=7)
 
 
 def test_invert_requires_unit_leading_part():
     with pytest.raises(NotUnitriangular):
-        pdo_invert(sop({0: 2, -1: 1}))
+        sop({0: 2, -1: 1}).invert()
     with pytest.raises(NotUnitriangular):
-        pdo_invert(sop({1: 1, 0: 1}))
+        sop({1: 1, 0: 1}).invert()
 
 
 def test_apply_to_polyvec():
@@ -114,7 +115,7 @@ def _neumann(k, depth):
                depth=depth, var=k.var)
     out = power = MatPDO.identity(k.rows, depth=depth, var=k.var)
     for _ in range(depth):
-        power = pdo_mul(power, -n, depth=depth)
+        power = power.mul(-n, depth=depth)
         out = out + power
     return out
 
@@ -125,8 +126,8 @@ def _neumann(k, depth):
 def test_invert_matches_neumann_on_kw(seed, n, r, depth):
     p = randpoints.rand_cmpoint(random.Random(seed), n, r)
     k = opcalc.kw(p, depth=depth).op
-    kinv = pdo_invert(k)
+    kinv = k.invert()
     assert kinv.eq_through(_neumann(k, depth), depth=depth)
     ident = MatPDO.identity(r, depth=depth)
-    assert pdo_mul(k, kinv).eq_through(ident, depth=depth)
-    assert pdo_mul(kinv, k).eq_through(ident, depth=depth)
+    assert k.mul(kinv).eq_through(ident, depth=depth)
+    assert kinv.mul(k).eq_through(ident, depth=depth)
