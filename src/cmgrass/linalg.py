@@ -66,10 +66,10 @@ def mmul(a, b):
     k2, m = shape(b)
     if k != k2:
         raise ValueError(f"matmul shapes {shape(a)} x {shape(b)}")
-    fa = _gaussian(a)
-    fb = fa and _gaussian(b)
-    if fb:
-        return _gaussian_mmul(fa, fb)
+    da = _denominator(a)
+    db = da and _denominator(b)
+    if db:
+        return _gaussian_mmul(_gaussian(a, da), _gaussian(b, db))
     out = []
     for i in range(n):
         row = []
@@ -119,10 +119,10 @@ def solve(a, b):
     """Solve a x = b for square a; b is n x m.  Raises SingularMatrix."""
     n, _ = shape(a)
     m = shape(b)[1]
-    fa = _gaussian(a)
-    fb = fa and _gaussian(b)
-    if fb:
-        return _gaussian_solve(fa, fb)
+    da = _denominator(a)
+    db = da and _denominator(b)
+    if db:
+        return _gaussian_solve(_gaussian(a, da), _gaussian(b, db))
     aug = [list(a[i]) + list(b[i]) for i in range(n)]
     for col in range(n):
         piv = None
@@ -153,10 +153,11 @@ def inverse(a):
     n = len(a)
     if n == 0:
         return []
-    fa = _gaussian(a)
-    if fa:
+    da = _denominator(a)
+    if da:
         unit = [[int(i == j) for j in range(n)] for i in range(n)]
-        return _gaussian_solve(fa, (unit, [[0] * n for _ in range(n)], 1))
+        return _gaussian_solve(_gaussian(a, da),
+                               (unit, [[0] * n for _ in range(n)], 1))
     one = _one_like(a[0][0])
     return solve(a, identity(n, one=one, zero=a[0][0] - a[0][0]))
 
@@ -180,9 +181,9 @@ def rank(a) -> int:
 
 def row_reduce(rows):
     """Reduced echelon form over a field; returns (nonzero_rows, pivot_cols)."""
-    form = _gaussian(rows)
-    if form:
-        return _gaussian_row_reduce(form)
+    d = _denominator(rows)
+    if d:
+        return _gaussian_row_reduce(_gaussian(rows, d))
     rows = [list(r) for r in rows]
     m = len(rows[0]) if rows else 0
     pivots = []
@@ -275,9 +276,9 @@ def det_adjugate(a):
 
 
 def det(a):
-    form = _gaussian(a)
-    if form:
-        return _gaussian_det(form)
+    d = _denominator(a)
+    if d:
+        return _gaussian_det(_gaussian(a, d))
     return det_adjugate(a)[0]
 
 
@@ -297,8 +298,9 @@ def _int_div(x, k: int):
 # (x, y); a row is a pair (real parts, imaginary parts) of int lists.
 
 
-def _gaussian(a):
-    """(A, B, d) with a == (A + iB)/d, or None unless every entry is exact."""
+def _denominator(a):
+    """The lcm d of the entry denominators, or None unless every entry is an
+    exact Scalar.  Checks only: the integer form is built by _gaussian."""
     if not any(a):
         return None
     d = 1
@@ -308,6 +310,11 @@ def _gaussian(a):
                 return None
             if d % x.d:
                 d = lcm(d, x.d)
+    return d
+
+
+def _gaussian(a, d):
+    """(A, B, d) with a == (A + iB)/d, for d = _denominator(a)."""
     re, im = [], []
     for row in a:
         rr, ri = [], []
@@ -324,9 +331,6 @@ def _gaussian_mmul(fa, fb):
     (a, b, d), (c, e, f) = fa, fb
     den = d * f
     ct = list(zip(*c))
-    if not any(map(any, b)) and not any(map(any, e)):
-        return [[_reduced(sum(map(mul, ar, cc)), 0, den) for cc in ct]
-                for ar in a]
     et = list(zip(*e))
     return [[_reduced(sum(map(mul, ar, cc)) - sum(map(mul, br, ec)),
                       sum(map(mul, ar, ec)) + sum(map(mul, br, cc)), den)

@@ -290,10 +290,16 @@ def test_numeric_and_mixed_matrices_take_the_generic_path():
     # every numeric entry a generic elimination touches turns numeric; the
     # exact kernels would return exact entries only
     for a, spread in ((numeric, all), (mixed, any)):
-        assert linalg._gaussian(a) is None
+        assert linalg._denominator(a) is None
         for out, want in ((linalg.mmul(a, a), ref @ ref),
                           (linalg.inverse(a), np.linalg.inv(ref)),
                           (linalg.row_reduce(a)[0], np.eye(3)),
                           ([[linalg.det(a)]], [[np.linalg.det(ref)]])):
             assert spread(not x.is_exact for row in out for x in row)
             assert np.allclose(linalg.to_numpy(out), want)
+    # an exact operand next to a numeric one takes the generic path as well
+    for out, want in ((linalg.mmul(exact, numeric), ref @ ref),
+                      (linalg.mmul(numeric, exact), ref @ ref),
+                      (linalg.solve(exact, numeric), np.eye(3))):
+        assert all(not x.is_exact for row in out for x in row)
+        assert np.allclose(linalg.to_numpy(out), want)
